@@ -79,7 +79,9 @@ fn parse_config() -> DaemonConfig {
             }
             "--history-window-ms" => {
                 config.history_window = Duration::from_millis(
-                    value("--history-window-ms").parse().unwrap_or_else(|_| usage()),
+                    value("--history-window-ms")
+                        .parse()
+                        .unwrap_or_else(|_| usage()),
                 )
             }
             "--help" => usage(),

@@ -437,15 +437,16 @@ fn handle_watch(mut stream: TcpStream, req: &Request, shared: &Arc<Shared>) {
         st.jobs.get(&id).map(|job| job.recorder.hub())
     };
     let Some(hub) = hub else {
-        let _ = Response::json(404, "{\"error\": \"no such job\"}".to_string())
-            .write_to(&mut stream);
+        let _ =
+            Response::json(404, "{\"error\": \"no such job\"}".to_string()).write_to(&mut stream);
         return;
     };
     // Resume point: the standard SSE `Last-Event-ID` header names the
     // last sequence the client *saw*, so streaming resumes after it;
     // `?from=N` names the first sequence wanted (curl convenience).
     let from = match (
-        req.header("last-event-id").and_then(|v| v.parse::<u64>().ok()),
+        req.header("last-event-id")
+            .and_then(|v| v.parse::<u64>().ok()),
         req.param("from").and_then(|v| v.parse::<u64>().ok()),
     ) {
         (Some(last), _) => last + 1,
@@ -829,8 +830,7 @@ fn run_one(shared: &Arc<Shared>, id: u64) {
     // The flight recorder rides the same thread-local channel as the
     // results dir: `Experiment::start_with` (called by `run_spec` on
     // this thread) picks it up and drives it at trial boundaries.
-    let prev_sink =
-        set_thread_progress_sink(Some(Arc::clone(&recorder) as Arc<dyn ProgressSink>));
+    let prev_sink = set_thread_progress_sink(Some(Arc::clone(&recorder) as Arc<dyn ProgressSink>));
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         let spec = ScenarioSpec::parse(&spec_json)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
@@ -1005,15 +1005,14 @@ fn supervisor_loop(shared: Arc<Shared>) {
                     }
                     let due = job
                         .last_deadline_event
-                        .is_none_or(|t| now.duration_since(t) >= DEADLINE_EVENT_EVERY);
+                        .map_or(true, |t| now.duration_since(t) >= DEADLINE_EVENT_EVERY);
                     if due {
                         job.last_deadline_event = Some(now);
-                        job.recorder.publish(
-                            ProgressEvent::new("deadline_remaining").with(
+                        job.recorder
+                            .publish(ProgressEvent::new("deadline_remaining").with(
                                 "remaining_ms",
                                 deadline.saturating_duration_since(now).as_millis() as u64,
-                            ),
-                        );
+                            ));
                     }
                 }
             }
@@ -1021,7 +1020,9 @@ fn supervisor_loop(shared: Arc<Shared>) {
         drop(st);
         // Sample the daemon counters into the history ring once per
         // window (wall-clock; this plane never touches envelopes).
-        let due = last_sample.is_none_or(|t| now.duration_since(t) >= shared.config.history_window);
+        let due = last_sample.map_or(true, |t| {
+            now.duration_since(t) >= shared.config.history_window
+        });
         if due {
             last_sample = Some(now);
             let at_ms = shared.uptime_ms();

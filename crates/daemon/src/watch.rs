@@ -244,7 +244,9 @@ mod tests {
             }
             assert!(saw_resume, "client must send Last-Event-ID");
             write_sse_head(&mut stream).unwrap();
-            let mut e = ProgressEvent::new("trial_finished").with("done", 1).with("total", 2);
+            let mut e = ProgressEvent::new("trial_finished")
+                .with("done", 1)
+                .with("total", 2);
             e.seq = 6;
             write_sse_event(&mut stream, &e).unwrap();
             write_sse_comment(&mut stream, "shed 0 events").unwrap();

@@ -216,7 +216,9 @@ impl ProgressSink for ChannelProgress {
     }
 
     fn trial_finished(&self, done: usize, total: usize) {
-        self.done.store(done as u64, Ordering::Relaxed);
+        // `fetch_max`: a caller reporting completions out of order can
+        // never move `trials_done` backwards.
+        self.done.fetch_max(done as u64, Ordering::Relaxed);
         self.total.store(total as u64, Ordering::Relaxed);
         self.hub.publish(
             ProgressEvent::new("trial_finished")
@@ -258,8 +260,10 @@ mod tests {
     fn stderr_sink_rate_limit_suppresses_render_lazily() {
         // An hour-long interval: the first sample renders, the second
         // must be suppressed WITHOUT calling the render closure.
-        let sink =
-            StderrProgress::with_heartbeat(Heartbeat::with_interval(true, Duration::from_secs(3600)));
+        let sink = StderrProgress::with_heartbeat(Heartbeat::with_interval(
+            true,
+            Duration::from_secs(3600),
+        ));
         let rendered = AtomicU64::new(0);
         let render = || {
             rendered.fetch_add(1, Ordering::Relaxed);

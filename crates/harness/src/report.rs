@@ -24,8 +24,7 @@ use serde::Serialize;
 use serde_json::Value;
 use std::io;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 thread_local! {
@@ -338,7 +337,10 @@ impl Experiment {
     {
         let inject = self.args.inject_trial_panic;
         let total = self.args.trials;
-        let done = AtomicUsize::new(0);
+        // Counting and reporting a completion happen under one lock, so
+        // every sink sees `trial_finished` with `done` = 1, 2, .., total
+        // in that order however the workers interleave.
+        let done = Mutex::new(0usize);
         let sinks = &self.sinks;
         let (results, failures) =
             self.runner()
@@ -355,10 +357,12 @@ impl Experiment {
                         panic!("injected trial panic (--inject-trial-panic {})", ctx.index);
                     }
                     let out = trial(ctx);
-                    let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
+                    let mut finished = done.lock().unwrap_or_else(PoisonError::into_inner);
+                    *finished += 1;
                     for sink in sinks {
-                        sink.trial_finished(finished, total);
+                        sink.trial_finished(*finished, total);
                     }
+                    drop(finished);
                     out
                 });
         self.note_trial_failures(failures);
@@ -508,22 +512,20 @@ mod tests {
     use crate::runner::derive_trial_seed;
     use polite_wifi_sim::FaultProfile;
 
-    struct ResultsDirGuard(Option<String>);
+    /// Redirects this test thread's result writes for the guard's
+    /// lifetime. Thread-local, so tests running in parallel never see
+    /// each other's directories (a process-wide env var would race).
+    struct ResultsDirGuard(Option<std::path::PathBuf>);
 
     impl ResultsDirGuard {
         fn set(dir: &std::path::Path) -> ResultsDirGuard {
-            let old = std::env::var("POLITE_WIFI_RESULTS").ok();
-            std::env::set_var("POLITE_WIFI_RESULTS", dir);
-            ResultsDirGuard(old)
+            ResultsDirGuard(set_thread_results_dir(Some(dir.to_path_buf())))
         }
     }
 
     impl Drop for ResultsDirGuard {
         fn drop(&mut self) {
-            match &self.0 {
-                Some(old) => std::env::set_var("POLITE_WIFI_RESULTS", old),
-                None => std::env::remove_var("POLITE_WIFI_RESULTS"),
-            }
+            set_thread_results_dir(self.0.take());
         }
     }
 

@@ -231,9 +231,10 @@ impl Obs {
         }
     }
 
-    /// Attributes one handled scheduler event to the self-profiler.
-    pub fn prof(&mut self, kind: &str, virt_us: u64, wall_ns: u64) {
-        self.profiler.record(kind, virt_us, wall_ns);
+    /// Attributes `count` scheduler events handled at one instant to the
+    /// self-profiler (see [`Profiler::record_n`]).
+    pub fn prof(&mut self, kind: &str, count: u64, virt_us: u64, wall_ns: u64) {
+        self.profiler.record_n(kind, count, virt_us, wall_ns);
     }
 
     /// Folds another scope into this one, tagging its spans with

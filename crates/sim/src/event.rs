@@ -9,10 +9,15 @@ use std::collections::BinaryHeap;
 /// Something that happens at a point in simulated time.
 #[derive(Debug, Clone)]
 pub enum Event {
-    /// Run a station's timer work (`Station::poll`).
+    /// Run a station's timer work (`Station::poll`), `copies` times
+    /// over. Duplicate poll chains of one node that fall due at the same
+    /// instant travel as one counted run instead of `copies` entries;
+    /// the run holds `copies` consecutive sequence numbers.
     Poll {
         /// Which node.
         node: NodeId,
+        /// How many poll chains this entry stands for (at least 1).
+        copies: u64,
     },
     /// A node attempts to start a queued (CSMA) transmission.
     TxAttempt {
@@ -106,7 +111,8 @@ impl Event {
 pub struct ScheduledEvent {
     /// When the event fires, in microseconds.
     pub at_us: u64,
-    /// Monotonic tie-breaker.
+    /// Monotonic tie-breaker (the first of the run's sequence numbers
+    /// for a multi-copy [`Event::Poll`]).
     pub seq: u64,
     /// The event itself.
     pub event: Event,
@@ -308,10 +314,19 @@ impl EventQueue {
 
     /// Schedules `event` at `at_us`. Sequence numbers are assigned at
     /// push regardless of backend, so the dispatch order — and every
-    /// RNG draw downstream of it — is backend-invariant.
+    /// RNG draw downstream of it — is backend-invariant. A poll run of
+    /// `copies` reserves that many consecutive sequence numbers, so
+    /// every other event keeps the `(time, seq)` position it would
+    /// have if each copy were pushed on its own.
     pub fn push(&mut self, at_us: u64, event: Event) {
         let seq = self.next_seq;
-        self.next_seq += 1;
+        self.next_seq += match event {
+            Event::Poll { copies, .. } => {
+                debug_assert!(copies > 0, "an empty poll run");
+                copies
+            }
+            _ => 1,
+        };
         self.len += 1;
         let ev = ScheduledEvent { at_us, seq, event };
         match &mut self.backend {
@@ -337,6 +352,28 @@ impl EventQueue {
         }
     }
 
+    /// Pops the next entry if it is a poll run of `node` due at `at_us`
+    /// — i.e. if it directly follows, in `(time, seq)` order, a poll of
+    /// `node` just popped at `at_us` — and returns its copies.
+    pub fn pop_poll_run(&mut self, at_us: u64, node: NodeId) -> Option<u64> {
+        let next = match &self.backend {
+            Backend::Heap(heap) => heap.peek(),
+            // An event due at `at_us` lies in the window being drained,
+            // so it sits in `drain` if it exists at all.
+            Backend::Calendar(cal) => cal.drain.last(),
+        }?;
+        let copies = match next.event {
+            Event::Poll { node: n, copies } if n == node && next.at_us == at_us => copies,
+            _ => return None,
+        };
+        self.len -= 1;
+        match &mut self.backend {
+            Backend::Heap(heap) => heap.pop(),
+            Backend::Calendar(cal) => cal.drain.pop(),
+        };
+        Some(copies)
+    }
+
     /// Time of the next event without removing it. `&mut` because the
     /// calendar backend may need to roll its window forward to find it.
     pub fn peek_time(&mut self) -> Option<u64> {
@@ -354,7 +391,8 @@ impl EventQueue {
         }
     }
 
-    /// Number of pending events.
+    /// Number of pending queue entries. A poll run counts once however
+    /// many copies it carries.
     pub fn len(&self) -> usize {
         self.len
     }
@@ -370,7 +408,10 @@ mod tests {
     use super::*;
 
     fn poll(node: usize) -> Event {
-        Event::Poll { node: NodeId(node) }
+        Event::Poll {
+            node: NodeId(node),
+            copies: 1,
+        }
     }
 
     #[test]
@@ -393,7 +434,7 @@ mod tests {
         }
         let mut order = Vec::new();
         while let Some(e) = q.pop() {
-            if let Event::Poll { node } = e.event {
+            if let Event::Poll { node, .. } = e.event {
                 order.push(node.0);
             }
         }
@@ -436,8 +477,59 @@ mod tests {
         let b = q.pop().unwrap();
         // FIFO among the two t=20 events.
         assert!((a.at_us, a.seq) < (b.at_us, b.seq));
-        assert!(matches!(a.event, Event::Poll { node } if node.0 == 1));
-        assert!(matches!(b.event, Event::Poll { node } if node.0 == 3));
+        assert!(matches!(a.event, Event::Poll { node, .. } if node.0 == 1));
+        assert!(matches!(b.event, Event::Poll { node, .. } if node.0 == 3));
+    }
+
+    #[test]
+    fn a_poll_run_reserves_one_seq_per_copy() {
+        for kind in [SchedulerKind::Calendar, SchedulerKind::Heap] {
+            let mut q = EventQueue::with_scheduler(kind);
+            q.push(
+                50,
+                Event::Poll {
+                    node: NodeId(0),
+                    copies: 5,
+                },
+            );
+            q.push(50, poll(1));
+            let run = q.pop().unwrap();
+            let next = q.pop().unwrap();
+            assert_eq!(next.seq, run.seq + 5, "{kind:?}");
+            assert!(matches!(run.event, Event::Poll { copies: 5, .. }));
+        }
+    }
+
+    #[test]
+    fn pop_poll_run_takes_only_the_directly_following_same_node_run() {
+        for kind in [SchedulerKind::Calendar, SchedulerKind::Heap] {
+            let mut q = EventQueue::with_scheduler(kind);
+            let run = |node, copies| Event::Poll {
+                node: NodeId(node),
+                copies,
+            };
+            q.push(70, run(0, 1));
+            q.push(70, run(0, 2));
+            q.push(70, run(0, 3));
+            q.push(70, run(1, 1));
+            q.push(70, run(0, 4));
+            q.push(80, run(0, 5));
+            let first = q.pop().unwrap();
+            assert_eq!(q.pop_poll_run(70, NodeId(0)), Some(2), "{kind:?}");
+            assert_eq!(q.pop_poll_run(70, NodeId(0)), Some(3), "{kind:?}");
+            // Node 1's poll sits in between: node 0's last run at 70
+            // must wait its turn, and nothing of node 1 is taken.
+            assert_eq!(q.pop_poll_run(70, NodeId(0)), None, "{kind:?}");
+            assert_eq!(q.len(), 3);
+            let second = q.pop().unwrap();
+            assert!(matches!(second.event, Event::Poll { node, .. } if node.0 == 1));
+            assert_eq!(second.seq, first.seq + 6);
+            assert_eq!(q.pop_poll_run(70, NodeId(0)), Some(4), "{kind:?}");
+            // A later-time run of the same node is not part of this instant.
+            assert_eq!(q.pop_poll_run(70, NodeId(0)), None, "{kind:?}");
+            assert_eq!(q.len(), 1);
+            assert_eq!(q.pop().unwrap().at_us, 80);
+        }
     }
 
     /// The contract the whole determinism story rests on: both backends

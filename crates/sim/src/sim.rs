@@ -212,7 +212,13 @@ impl Simulator {
         // Bootstrap the station's timers.
         let poll_at = node.station.next_poll_at(self.now_us);
         if let Some(at) = poll_at {
-            self.queue.push(at, Event::Poll { node: id });
+            self.queue.push(
+                at,
+                Event::Poll {
+                    node: id,
+                    copies: 1,
+                },
+            );
         }
         self.nodes.push(node);
         self.hot.push(position, tune);
@@ -232,9 +238,11 @@ impl Simulator {
         self.now_us
     }
 
-    /// Number of pending events in the queue — a regression guard
-    /// against event-chain leaks (a healthy simulation keeps this small
-    /// and bounded regardless of how long it has run).
+    /// Number of pending queue entries — a regression guard against
+    /// event-chain leaks (a healthy simulation keeps this small and
+    /// bounded regardless of how long it has run). One entry may be a
+    /// poll run carrying several duplicate poll chains of a node
+    /// ([`Event::Poll`]'s `copies`); it counts once.
     pub fn queue_len(&self) -> usize {
         self.queue.len()
     }
@@ -369,21 +377,33 @@ impl Simulator {
     /// kind is attributed the virtual time it advanced the clock by
     /// (deterministic — part of canonical exports) and the wall-clock
     /// time its handler took (machine-dependent — kept out of them).
+    ///
+    /// Poll runs of one node that directly follow each other at one
+    /// instant are handled as a single run of their summed copies (see
+    /// [`do_poll`](Self::do_poll)); each copy still counts as one
+    /// dispatched event.
     pub fn run_until(&mut self, t_us: u64) {
         let mut dispatched = 0u64;
         while let Some(at) = self.queue.peek_time() {
             if at > t_us {
                 break;
             }
-            let ev = self.queue.pop().expect("peeked");
+            let mut ev = self.queue.pop().expect("peeked");
+            let mut events = 1;
+            if let Event::Poll { node, copies } = &mut ev.event {
+                while let Some(more) = self.queue.pop_poll_run(ev.at_us, *node) {
+                    *copies += more;
+                }
+                events = *copies;
+            }
             let virt_us = ev.at_us.saturating_sub(self.now_us);
             let kind = ev.event.kind_name();
             self.now_us = ev.at_us;
             let t0 = std::time::Instant::now();
             self.handle(ev.event);
             let wall_ns = t0.elapsed().as_nanos() as u64;
-            self.obs.prof(kind, virt_us, wall_ns);
-            dispatched += 1;
+            self.obs.prof(kind, events, virt_us, wall_ns);
+            dispatched += events;
             if self.now_us.saturating_sub(self.last_prune_us) > 1_000_000 {
                 self.medium.prune(self.now_us);
                 self.last_prune_us = self.now_us;
@@ -532,7 +552,7 @@ impl Simulator {
                 });
                 self.schedule_tx_attempt(node);
             }
-            Event::Poll { node } => self.do_poll(node),
+            Event::Poll { node, copies } => self.do_poll(node, copies),
             Event::TxAttempt { node } => self.do_tx_attempt(node),
             Event::ResponseTx {
                 node,
@@ -574,20 +594,35 @@ impl Simulator {
         }
     }
 
-    fn do_poll(&mut self, id: NodeId) {
+    /// Runs `copies` duplicate poll chains of `id` due now. Only the
+    /// first copy does any work: the later ones poll the same station at
+    /// the same instant, find nothing due and reschedule to the same
+    /// target, so one `poll` plus one rescheduled run of `copies` is
+    /// exactly what `copies` separate events would do — including the
+    /// consecutive sequence numbers their reschedules would take.
+    fn do_poll(&mut self, id: NodeId, copies: u64) {
         // This chain is consumed (cleared even on the stall path below,
         // so a stale marker can't block do_stall_end's fresh chain).
         self.hot.poll_at[id.0] = u64::MAX;
         if self.is_stalled(id) {
-            // Frozen firmware runs no timers: this poll chain dies here
-            // and do_stall_end starts a fresh one on recovery.
-            // (Re-queueing it as well would leak one chain per stall.)
+            // Frozen firmware runs no timers: every chain of the run dies
+            // here and do_stall_end starts a fresh one on recovery.
+            // (Re-queueing them as well would leak chains per stall.)
             return;
         }
         let now = self.now_us;
         let actions = self.nodes[id.0].station.poll(now);
         self.apply_actions(id, actions, None);
-        self.reschedule_poll(id);
+        debug_assert!(
+            copies == 1 || {
+                let station = &self.nodes[id.0].station;
+                let mut twin = station.clone();
+                twin.poll(now).is_empty() && twin.next_poll_at(now) == station.next_poll_at(now)
+            },
+            "a repeated poll of node {} at {now} µs is not a no-op",
+            id.0
+        );
+        self.reschedule_poll(id, copies);
     }
 
     /// True while a fault-injected stall freezes the node.
@@ -595,7 +630,8 @@ impl Simulator {
         self.now_us < self.hot.stalled_until[id.0]
     }
 
-    fn reschedule_poll(&mut self, id: NodeId) {
+    /// Schedules `copies` poll chains of `id` at its next timer.
+    fn reschedule_poll(&mut self, id: NodeId, copies: u64) {
         if let Some(at) = self.nodes[id.0].station.next_poll_at(self.now_us) {
             // Never schedule a poll at the current instant again, or a
             // timer that stays due would spin forever. Clock drift
@@ -608,16 +644,19 @@ impl Simulator {
                 // frame would spawn another self-perpetuating poll chain
                 // — at city density, hundreds per node. A chain already
                 // pending at or before `at` will run and reschedule
-                // itself, so this push would be redundant. The legacy
-                // mode keeps the duplicate chains: dropping them shifts
-                // event sequence numbers, which reorders same-time
-                // events and would drift every pinned result.
+                // itself, so this push would be redundant.
                 if self.hot.poll_at[id.0] <= at {
                     return;
                 }
                 self.hot.poll_at[id.0] = at;
             }
-            self.queue.push(at, Event::Poll { node: id });
+            // The legacy mode keeps every chain: dropping one would free
+            // its sequence number and reorder same-time events, drifting
+            // every pinned result. Chains that meet at one instant share
+            // a single queue entry instead: the run reserves one sequence
+            // number per copy, and `run_until` folds directly adjacent
+            // runs of the node back into one `do_poll`.
+            self.queue.push(at, Event::Poll { node: id, copies });
         }
     }
 
@@ -659,7 +698,7 @@ impl Simulator {
             self.obs.incr(names::FAULT_DEVICE_REBOOTS);
             self.obs.event(now, id.0 as u64, "fault.reboot");
         }
-        self.reschedule_poll(id);
+        self.reschedule_poll(id, 1);
         self.schedule_tx_attempt(id);
     }
 
@@ -1241,7 +1280,7 @@ impl Simulator {
             .station
             .on_receive(now, &frame, outcome.fcs_ok, rate);
         self.apply_actions(id, actions, ftrace);
-        self.reschedule_poll(id);
+        self.reschedule_poll(id, 1);
     }
 
     /// True when the node's own transmission overlapped `[start_us, now]`.

@@ -51,13 +51,7 @@ fn events_are_strictly_sequence_ordered_across_worker_counts() {
             "sequence numbers must be gap-free and strictly increasing at {workers} workers"
         );
 
-        let count_of = |kind: &str| {
-            delivery
-                .events
-                .iter()
-                .filter(|e| e.kind == kind)
-                .count()
-        };
+        let count_of = |kind: &str| delivery.events.iter().filter(|e| e.kind == kind).count();
         assert_eq!(count_of("trial_started"), 24, "at {workers} workers");
         assert_eq!(count_of("trial_finished"), 24, "at {workers} workers");
         assert_eq!(sink.trials_done(), 24);
@@ -71,6 +65,32 @@ fn events_are_strictly_sequence_ordered_across_worker_counts() {
             .find(|e| e.kind == "trial_finished")
             .and_then(|e| e.field("done"));
         assert_eq!(last_done, Some(24));
+    }
+}
+
+#[test]
+fn trial_finished_reports_count_up_in_journal_order() {
+    // Many short trials on many workers make completions race; the
+    // journal must still read done = 1, 2, .., total in order.
+    for round in 0..8u64 {
+        let args = RunArgs {
+            trials: 64,
+            workers: 8,
+            seed: round,
+            ..RunArgs::default()
+        };
+        let (sink, completed) = run_with_channel_sink(args, 4096);
+        assert_eq!(completed, 64);
+        let done: Vec<u64> = sink
+            .hub()
+            .snapshot_since(0)
+            .events
+            .iter()
+            .filter(|e| e.kind == "trial_finished")
+            .filter_map(|e| e.field("done"))
+            .collect();
+        assert_eq!(done, (1..=64).collect::<Vec<u64>>(), "round {round}");
+        assert_eq!(sink.trials_done(), 64);
     }
 }
 
