@@ -88,13 +88,16 @@ fn bench_medium_ablation(c: &mut Criterion) {
     g.throughput(Throughput::Elements(1));
     const CH6: polite_wifi_sim::medium::Tune = (polite_wifi_phy::band::Band::Ghz2, 6);
     let mut m = Medium::new(MediumConfig::default(), 3);
-    m.begin_transmission(Transmission {
-        from: NodeId(9),
-        start_us: 0,
-        end_us: 1_000_000_000,
-        tx_power_dbm: 20.0,
-        tune: CH6,
-    });
+    m.begin_transmission(
+        Transmission {
+            from: NodeId(9),
+            start_us: 0,
+            end_us: 1_000_000_000,
+            tx_power_dbm: 20.0,
+            tune: CH6,
+        },
+        None,
+    );
     g.bench_function("evaluate_rx_with_interferer", |b| {
         let mut t = 0u64;
         b.iter(|| {

@@ -487,13 +487,13 @@ fn stream_watch(
                 next = first.seq;
             }
             for event in &delivery.events {
+                // Counted before the write, so a client that has read
+                // an event already finds it in the counter, and a write
+                // failing mid-batch keeps the events sent before it.
+                shared.add(names::DAEMON_WATCH_EVENTS_STREAMED, 1);
                 watch::write_sse_event(stream, event)?;
                 next = event.seq + 1;
             }
-            shared.add(
-                names::DAEMON_WATCH_EVENTS_STREAMED,
-                delivery.events.len() as u64,
-            );
         }
         if delivery.closed && next >= delivery.next_seq {
             return watch::finish_sse(stream);

@@ -15,11 +15,68 @@
 //! consults co-channel receivers in the 3×3 cell neighbourhood around
 //! the transmitter, which covers every point within one cell edge of
 //! it. Moving nodes live on a separate always-scanned list so the
-//! static buckets never go stale.
+//! static buckets never go stale. The medium files its active
+//! transmissions on the same cells (see
+//! [`Medium::with_cell_index`](crate::medium::Medium::with_cell_index)).
 
 use crate::medium::Tune;
 use crate::node::{AckWait, NodeId};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// One interference cell on one tune: `(tune, ⌊x/cell⌋, ⌊y/cell⌋)`.
+pub(crate) type CellKey = (Tune, i64, i64);
+
+/// A map keyed by cell. Keys are a few small integers and nothing
+/// iterates the map for order, so a multiply-rotate hash (the Fx hash
+/// rustc uses) replaces SipHash on these hot lookups. Cells follow node
+/// positions a scenario spec may set; positions crafted to collide only
+/// slow a lookup to a scan of every cell, no worse than the all-pairs
+/// mode the same spec can ask for.
+pub(crate) type CellMap<V> = HashMap<CellKey, V, BuildHasherDefault<CellHasher>>;
+
+/// The Fx hash: one rotate, xor and multiply per word written.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct CellHasher(u64);
+
+impl CellHasher {
+    fn mix(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for CellHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.mix(b as u64);
+        }
+    }
+
+    fn write_u8(&mut self, n: u8) {
+        self.mix(n as u64);
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.mix(n);
+    }
+
+    fn write_i64(&mut self, n: i64) {
+        self.mix(n as u64);
+    }
+
+    fn write_isize(&mut self, n: isize) {
+        self.mix(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// The cell containing point `p` on a grid of edge `cell_m`.
+pub(crate) fn cell_of(p: (f64, f64), cell_m: f64) -> (i64, i64) {
+    ((p.0 / cell_m).floor() as i64, (p.1 / cell_m).floor() as i64)
+}
 
 /// Hot per-node state, structure-of-arrays.
 #[derive(Debug, Default)]
@@ -154,8 +211,8 @@ pub struct CellGrid {
     /// Cell edge length in metres (= the medium's `max_range_m`).
     cell_m: f64,
     /// Static nodes bucketed by (tune, cell) — lookups only, never
-    /// iterated, so the `HashMap` costs nothing in determinism.
-    cells: HashMap<(Tune, i64, i64), Vec<NodeId>>,
+    /// iterated for order, so the hash map costs nothing in determinism.
+    cells: CellMap<Vec<NodeId>>,
     /// Nodes with nonzero velocity: checked exactly on every query.
     mobile: Vec<NodeId>,
 }
@@ -165,16 +222,13 @@ impl CellGrid {
     pub fn new(cell_m: f64) -> CellGrid {
         CellGrid {
             cell_m: cell_m.max(1.0),
-            cells: HashMap::new(),
+            cells: CellMap::default(),
             mobile: Vec::new(),
         }
     }
 
     fn cell_of(&self, p: (f64, f64)) -> (i64, i64) {
-        (
-            (p.0 / self.cell_m).floor() as i64,
-            (p.1 / self.cell_m).floor() as i64,
-        )
+        cell_of(p, self.cell_m)
     }
 
     /// Registers a node at its t = 0 position.

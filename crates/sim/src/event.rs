@@ -35,27 +35,17 @@ pub enum Event {
         /// Causal trace of the frame this responds to, if sampled.
         trace: Option<u64>,
     },
-    /// A transmission ends at its transmitter.
+    /// A transmission ends: at its transmitter, then at each of its
+    /// `arrivals` receivers in turn. The entry stands for those 1 +
+    /// `arrivals` events and holds as many consecutive sequence numbers;
+    /// the receivers and the frame wait in the simulator's fan-out slab.
     TxEnd {
         /// The transmitting node.
         node: NodeId,
-    },
-    /// A frame finishes arriving at a receiver.
-    Arrival {
-        /// The receiving node.
-        node: NodeId,
-        /// The transmitting node.
-        from: NodeId,
-        /// The frame.
-        frame: Frame,
-        /// Rate it was sent at.
-        rate: BitRate,
-        /// Time the frame started on the air (for overlap checks).
-        start_us: u64,
-        /// Band/channel the frame rode on.
-        tune: crate::medium::Tune,
-        /// Causal trace riding the transmission, if sampled.
-        trace: Option<u64>,
+        /// Slot of the transmission's fan-out in that slab.
+        fanout: u32,
+        /// Receivers the frame finishes arriving at.
+        arrivals: u64,
     },
     /// The transmitter gave up waiting for an ACK.
     AckTimeout {
@@ -96,12 +86,85 @@ impl Event {
             Event::TxAttempt { .. } => "tx_attempt",
             Event::ResponseTx { .. } => "response_tx",
             Event::TxEnd { .. } => "tx_end",
-            Event::Arrival { .. } => "arrival",
             Event::AckTimeout { .. } => "ack_timeout",
             Event::StallStart { .. } => "stall_start",
             Event::StallEnd { .. } => "stall_end",
             Event::Inject { .. } => "inject",
         }
+    }
+
+    /// Events the entry stands for, each holding one sequence number.
+    pub fn events(&self) -> u64 {
+        match *self {
+            Event::Poll { copies, .. } => {
+                debug_assert!(copies > 0, "an empty poll run");
+                copies
+            }
+            Event::TxEnd { arrivals, .. } => 1 + arrivals,
+            _ => 1,
+        }
+    }
+}
+
+/// The receiving end of one transmission: the frame and what every
+/// receiver needs to evaluate it, in the order the arrivals run.
+#[derive(Debug)]
+pub(crate) struct Fanout {
+    /// The frame.
+    pub frame: Frame,
+    /// Rate it was sent at.
+    pub rate: BitRate,
+    /// Time the frame started on the air (for overlap checks).
+    pub start_us: u64,
+    /// Band/channel the frame rode on.
+    pub tune: crate::medium::Tune,
+    /// Causal trace riding the transmission, if sampled.
+    pub trace: Option<u64>,
+    /// Receivers in ascending `NodeId` order.
+    pub receivers: Vec<NodeId>,
+}
+
+/// Recycling store of the [`Fanout`]s of transmissions whose `TxEnd`
+/// is pending. Slots and receiver lists are reused, so a steady stream
+/// of transmissions allocates nothing here.
+#[derive(Debug, Default)]
+pub(crate) struct FanoutSlab {
+    slots: Vec<Option<Fanout>>,
+    free: Vec<u32>,
+    spare_receivers: Vec<Vec<NodeId>>,
+}
+
+impl FanoutSlab {
+    /// An empty receiver list, recycled when one is spare.
+    pub fn receiver_list(&mut self) -> Vec<NodeId> {
+        self.spare_receivers.pop().unwrap_or_default()
+    }
+
+    /// Stores a fan-out; returns its slot.
+    pub fn insert(&mut self, fanout: Fanout) -> u32 {
+        match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = Some(fanout);
+                slot
+            }
+            None => {
+                self.slots.push(Some(fanout));
+                (self.slots.len() - 1) as u32
+            }
+        }
+    }
+
+    /// Removes the fan-out in `slot`, freeing the slot.
+    pub fn take(&mut self, slot: u32) -> Fanout {
+        self.free.push(slot);
+        self.slots[slot as usize].take().expect("live fan-out slot")
+    }
+
+    /// Keeps a handled fan-out's receiver list for reuse.
+    pub fn recycle(&mut self, fanout: Fanout) {
+        let mut receivers = fanout.receivers;
+        receivers.clear();
+        self.spare_receivers.push(receivers);
     }
 }
 
@@ -111,8 +174,8 @@ impl Event {
 pub struct ScheduledEvent {
     /// When the event fires, in microseconds.
     pub at_us: u64,
-    /// Monotonic tie-breaker (the first of the run's sequence numbers
-    /// for a multi-copy [`Event::Poll`]).
+    /// Monotonic tie-breaker (the first of the entry's sequence numbers
+    /// when it stands for several events, see [`Event::events`]).
     pub seq: u64,
     /// The event itself.
     pub event: Event,
@@ -314,19 +377,14 @@ impl EventQueue {
 
     /// Schedules `event` at `at_us`. Sequence numbers are assigned at
     /// push regardless of backend, so the dispatch order — and every
-    /// RNG draw downstream of it — is backend-invariant. A poll run of
-    /// `copies` reserves that many consecutive sequence numbers, so
+    /// RNG draw downstream of it — is backend-invariant. An entry that
+    /// stands for several events (a poll run, a transmission's end and
+    /// its arrivals) reserves one consecutive sequence number each, so
     /// every other event keeps the `(time, seq)` position it would
-    /// have if each copy were pushed on its own.
+    /// have if each were pushed on its own.
     pub fn push(&mut self, at_us: u64, event: Event) {
         let seq = self.next_seq;
-        self.next_seq += match event {
-            Event::Poll { copies, .. } => {
-                debug_assert!(copies > 0, "an empty poll run");
-                copies
-            }
-            _ => 1,
-        };
+        self.next_seq += event.events();
         self.len += 1;
         let ev = ScheduledEvent { at_us, seq, event };
         match &mut self.backend {
@@ -391,8 +449,8 @@ impl EventQueue {
         }
     }
 
-    /// Number of pending queue entries. A poll run counts once however
-    /// many copies it carries.
+    /// Number of pending queue entries. An entry counts once however
+    /// many events it stands for.
     pub fn len(&self) -> usize {
         self.len
     }
@@ -497,6 +555,24 @@ mod tests {
             let next = q.pop().unwrap();
             assert_eq!(next.seq, run.seq + 5, "{kind:?}");
             assert!(matches!(run.event, Event::Poll { copies: 5, .. }));
+        }
+    }
+
+    #[test]
+    fn a_tx_end_reserves_one_seq_per_arrival() {
+        for kind in [SchedulerKind::Calendar, SchedulerKind::Heap] {
+            let mut q = EventQueue::with_scheduler(kind);
+            q.push(
+                60,
+                Event::TxEnd {
+                    node: NodeId(0),
+                    fanout: 0,
+                    arrivals: 3,
+                },
+            );
+            q.push(60, poll(1));
+            let end = q.pop().unwrap();
+            assert_eq!(q.pop().unwrap().seq, end.seq + 4, "{kind:?}");
         }
     }
 

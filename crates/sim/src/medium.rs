@@ -1,5 +1,6 @@
 //! The shared radio medium: propagation, link quality, and collisions.
 
+use crate::arena::{cell_of, CellKey, CellMap};
 use crate::faults::{GilbertElliott, SnrDegradation, FAULT_STREAM};
 use crate::node::NodeId;
 use polite_wifi_phy::fading::Fading;
@@ -47,6 +48,18 @@ impl Default for MediumConfig {
     }
 }
 
+impl MediumConfig {
+    /// Distance within which a transmission at `tx_power_dbm` is sensed
+    /// at or above the carrier-sense threshold (0 when it never is).
+    fn cs_range_m(&self, tx_power_dbm: f64) -> f64 {
+        let budget = tx_power_dbm - self.cs_threshold_dbm;
+        if budget < self.path_loss.loss_db(0.1) {
+            return 0.0;
+        }
+        self.path_loss.distance_for_loss_db(budget)
+    }
+}
+
 /// A (band, channel) tune — two transmissions interact only when their
 /// tunes match. Adjacent-channel leakage is out of scope (documented in
 /// DESIGN.md).
@@ -67,13 +80,104 @@ pub struct Transmission {
     pub tune: Tune,
 }
 
+/// The active transmissions of static transmitters, filed by the
+/// `(tune, cell)` of the transmitter's position — the cell-indexed
+/// medium's spatial index (see [`Medium::with_cell_index`]).
+#[derive(Debug)]
+struct TxCells {
+    /// Cell edge in metres (the medium's `max_range_m`).
+    cell_m: f64,
+    buckets: CellMap<Vec<Transmission>>,
+    /// Keys of the non-empty buckets, in no particular order: what
+    /// prune and the whole-index scan walk.
+    occupied: Vec<CellKey>,
+    /// Highest transmit power ever filed, and its carrier-sense range:
+    /// no filed transmission is sensed farther away than that.
+    max_tx_power_dbm: f64,
+    cs_reach_m: f64,
+}
+
+impl TxCells {
+    fn insert(&mut self, tx: Transmission, site: (f64, f64), config: &MediumConfig) {
+        if tx.tx_power_dbm > self.max_tx_power_dbm {
+            self.max_tx_power_dbm = tx.tx_power_dbm;
+            self.cs_reach_m = config.cs_range_m(tx.tx_power_dbm);
+        }
+        let (cx, cy) = cell_of(site, self.cell_m);
+        let key = (tx.tune, cx, cy);
+        let bucket = self.buckets.entry(key).or_default();
+        if bucket.is_empty() {
+            self.occupied.push(key);
+        }
+        bucket.push(tx);
+    }
+
+    /// Drops entries `keep` rejects; returns how many were dropped.
+    fn retain(&mut self, mut keep: impl FnMut(&Transmission) -> bool) -> usize {
+        let mut dropped = 0;
+        let buckets = &mut self.buckets;
+        self.occupied.retain(|key| {
+            let bucket = buckets.get_mut(key).expect("occupied bucket");
+            let before = bucket.len();
+            bucket.retain(&mut keep);
+            dropped += before - bucket.len();
+            !bucket.is_empty()
+        });
+        dropped
+    }
+
+    /// Whether `pred` holds for any filed transmission on `tune` whose
+    /// transmitter may lie within `reach_m` of `point`. Visits the
+    /// cells within `⌈reach_m / cell_m⌉` rings of `point`'s cell, or
+    /// every occupied bucket on `tune` when that is fewer (an infinite
+    /// reach always takes this path). Either way a superset of the
+    /// transmissions in reach is tested, so a `pred` that itself checks
+    /// tune and distance answers exactly as a scan of everything would.
+    fn any_near(
+        &self,
+        tune: Tune,
+        point: (f64, f64),
+        reach_m: f64,
+        mut pred: impl FnMut(&Transmission) -> bool,
+    ) -> bool {
+        let rings = (reach_m / self.cell_m).ceil();
+        let side = 2.0 * rings + 1.0;
+        if side * side >= self.occupied.len() as f64 {
+            return self
+                .occupied
+                .iter()
+                .filter(|key| key.0 == tune)
+                .any(|key| self.buckets[key].iter().any(&mut pred));
+        }
+        let rings = rings as i64;
+        let (cx, cy) = cell_of(point, self.cell_m);
+        for x in cx - rings..=cx + rings {
+            for y in cy - rings..=cy + rings {
+                if let Some(bucket) = self.buckets.get(&(tune, x, y)) {
+                    if bucket.iter().any(&mut pred) {
+                        return true;
+                    }
+                }
+            }
+        }
+        false
+    }
+}
+
 /// The shared medium. Owns the propagation RNG so link draws are
 /// reproducible.
 #[derive(Debug)]
 pub struct Medium {
     config: MediumConfig,
     rng: ChaCha8Rng,
+    /// Transmissions on the air or in the prune grace window: all of
+    /// them on a flat list, or with a cell index only those of moving
+    /// transmitters (scanned on every query).
     active: Vec<Transmission>,
+    /// The cell index, when enabled.
+    cells: Option<TxCells>,
+    /// Entries across `active` and `cells`.
+    active_len: usize,
     noise_dbm: f64,
     /// Fault decisions draw from this dedicated stream (`seed ^
     /// FAULT_STREAM`), never from `rng`, so a clean plan leaves the
@@ -127,6 +231,8 @@ impl Medium {
             rng: ChaCha8Rng::seed_from_u64(seed ^ 0x4d45_4449_554d), // "MEDIUM"
             noise_dbm: noise_floor_dbm(config.bandwidth_mhz, config.noise_figure_db),
             active: Vec::new(),
+            cells: None,
+            active_len: 0,
             fault_rng: ChaCha8Rng::seed_from_u64(seed ^ FAULT_STREAM),
             burst: None,
             burst_bad: false,
@@ -154,21 +260,101 @@ impl Medium {
         &self.config
     }
 
-    /// Registers a transmission on the air.
-    pub fn begin_transmission(&mut self, tx: Transmission) {
-        self.active.push(tx);
+    /// Files active transmissions by the `(tune, cell)` of their
+    /// transmitter's position, cell edge `max_range_m` — the layout of
+    /// the cell-grid propagation mode. The keyed scans then visit only
+    /// the cells a transmission could matter from: the 3×3
+    /// neighbourhood for collisions (their cutoff is one cell edge) and
+    /// as many rings as the largest carrier-sense range needs. Moving
+    /// transmitters stay on the always-scanned flat list. Every answer
+    /// is the one a scan of the whole list gives, because a scan skips
+    /// only transmissions its own tune and distance tests would reject.
+    pub fn with_cell_index(mut self) -> Medium {
+        self.cells = Some(TxCells {
+            cell_m: self.config.max_range_m.max(1.0),
+            buckets: CellMap::default(),
+            occupied: Vec::new(),
+            max_tx_power_dbm: f64::NEG_INFINITY,
+            cs_reach_m: 0.0,
+        });
+        self
     }
 
-    /// Drops transmissions that ended before `now_us` (keeping a small
-    /// grace window so arrival processing can still see them).
+    /// Registers a transmission on the air. `site` is the position of
+    /// a transmitter that does not move, `None` for a moving one; only
+    /// the cell index reads it.
+    pub fn begin_transmission(&mut self, tx: Transmission, site: Option<(f64, f64)>) {
+        self.active_len += 1;
+        match (&mut self.cells, site) {
+            (Some(cells), Some(site)) => cells.insert(tx, site, &self.config),
+            _ => self.active.push(tx),
+        }
+    }
+
+    /// Re-files `from`'s live transmissions after its motion changed:
+    /// onto the moving list when `site` is `None`, otherwise into the
+    /// cells of `site`. A no-op without the cell index.
+    pub fn refile(&mut self, from: NodeId, site: Option<(f64, f64)>) {
+        let Some(cells) = &mut self.cells else { return };
+        match site {
+            None => {
+                let active = &mut self.active;
+                cells.retain(|t| {
+                    if t.from == from {
+                        active.push(t.clone());
+                    }
+                    t.from != from
+                });
+            }
+            Some(site) => {
+                let (mine, others) = std::mem::take(&mut self.active)
+                    .into_iter()
+                    .partition(|t| t.from == from);
+                self.active = others;
+                for tx in mine {
+                    cells.insert(tx, site, &self.config);
+                }
+            }
+        }
+    }
+
+    /// Drops transmissions that ended more than 1 ms before `now_us`.
+    /// The grace window keeps a transmission visible to the arrivals
+    /// of frames that ended up to 1 ms after it, not to every arrival
+    /// it overlapped: a frame longer than 1 ms can outlive an
+    /// interferer's entry, so when prune runs is observable.
     pub fn prune(&mut self, now_us: u64) {
-        self.active.retain(|t| t.end_us + 1_000 >= now_us);
+        let keep = |t: &Transmission| t.end_us + 1_000 >= now_us;
+        let before = self.active.len();
+        self.active.retain(keep);
+        let mut dropped = before - self.active.len();
+        if let Some(cells) = &mut self.cells {
+            dropped += cells.retain(keep);
+        }
+        self.active_len -= dropped;
     }
 
-    /// Number of transmissions still held on the active list — the
-    /// collision and carrier-sense scans are linear in this.
+    /// Number of transmissions held, on the air or in the prune grace
+    /// window — the keyed modes' prune trigger.
     pub fn active_len(&self) -> usize {
-        self.active.len()
+        self.active_len
+    }
+
+    /// Whether `pred` holds for any held transmission on `tune` whose
+    /// transmitter may lie within `reach_m` of `point` (see
+    /// [`TxCells::any_near`]); without the cell index, for any at all.
+    fn any_active(
+        &self,
+        tune: Tune,
+        point: (f64, f64),
+        reach_m: f64,
+        mut pred: impl FnMut(&Transmission) -> bool,
+    ) -> bool {
+        self.active.iter().any(&mut pred)
+            || self
+                .cells
+                .as_ref()
+                .is_some_and(|cells| cells.any_near(tune, point, reach_m, pred))
     }
 
     /// Mean received power at distance `d_m` from a transmitter.
@@ -180,7 +366,9 @@ impl Medium {
     /// `now_us`. `exclude` skips the node's own transmission;
     /// `distance_to` maps an active transmitter to its distance from
     /// the sensing node — evaluated only for transmissions actually on
-    /// the air, so the scan is O(active), not O(nodes).
+    /// the air, so the scan is O(active), not O(nodes). With the cell
+    /// index this scan still visits every entry on `tune` (it has no
+    /// position to search around).
     pub fn channel_busy(
         &self,
         now_us: u64,
@@ -188,7 +376,7 @@ impl Medium {
         tune: Tune,
         distance_to: impl Fn(NodeId) -> f64,
     ) -> bool {
-        self.active.iter().any(|t| {
+        self.any_active(tune, (0.0, 0.0), f64::INFINITY, |t| {
             t.from != exclude
                 && t.tune == tune
                 && t.start_us <= now_us
@@ -206,41 +394,32 @@ impl Medium {
     /// per active entry. Equivalent to `channel_busy` up to the
     /// round-trip error of [`PathLoss::distance_for_loss_db`] (~1e-15
     /// relative); the legacy all-pairs mode keeps the exact power-domain
-    /// scan so pinned results cannot drift.
+    /// scan so pinned results cannot drift. `at` is the sensing node's
+    /// position: with the cell index, only cells within the largest
+    /// carrier-sense range of it are visited.
     pub fn channel_busy_ranged(
         &self,
         now_us: u64,
         exclude: NodeId,
         tune: Tune,
+        at: (f64, f64),
         distance_sq_to: impl Fn(NodeId) -> f64,
     ) -> bool {
         // One inverse per distinct tx power per call — in practice every
         // transmitter runs the same power, so the transcendentals run once.
         let mut memo = (f64::NAN, 0.0); // (tx_power_dbm, cs_range²)
-        for t in &self.active {
+        let reach = self.cells.as_ref().map_or(f64::INFINITY, |c| c.cs_reach_m);
+        self.any_active(tune, at, reach, |t| {
             if t.from == exclude || t.tune != tune || t.start_us > now_us || now_us >= t.end_us {
-                continue;
+                return false;
             }
             if t.tx_power_dbm != memo.0 {
-                let r = self.cs_range_m(t.tx_power_dbm);
+                let r = self.config.cs_range_m(t.tx_power_dbm);
                 memo = (t.tx_power_dbm, r * r);
             }
             // The forward model clamps distances below at 0.1 m; mirror it.
-            if distance_sq_to(t.from).max(0.01) <= memo.1 {
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Distance within which a transmission at `tx_power_dbm` is sensed
-    /// at or above the carrier-sense threshold (0 when it never is).
-    fn cs_range_m(&self, tx_power_dbm: f64) -> f64 {
-        let budget = tx_power_dbm - self.config.cs_threshold_dbm;
-        if budget < self.config.path_loss.loss_db(0.1) {
-            return 0.0;
-        }
-        self.config.path_loss.distance_for_loss_db(budget)
+            distance_sq_to(t.from).max(0.01) <= memo.1
+        })
     }
 
     /// Evaluates the reception of a frame that occupied
@@ -280,6 +459,9 @@ impl Medium {
             psdu_len,
             rate,
             tune,
+            // An infinite cutoff scans every entry, so the receiver's
+            // position is never consulted.
+            (0.0, 0.0),
             f64::INFINITY,
             interferer_distance,
         );
@@ -296,6 +478,8 @@ impl Medium {
     /// receivers while staying draw-for-draw identical to the all-pairs
     /// oracle on the receptions both evaluate. The burst-loss fault
     /// chain still steps sequentially on the dedicated fault stream.
+    /// `rx_at` is the receiver's position, around which the cell index
+    /// looks for interferers.
     #[allow(clippy::too_many_arguments)]
     pub fn evaluate_rx_keyed(
         &mut self,
@@ -308,6 +492,7 @@ impl Medium {
         psdu_len: usize,
         rate: BitRate,
         tune: Tune,
+        rx_at: (f64, f64),
         interferer_distance: impl Fn(NodeId) -> f64,
     ) -> RxOutcome {
         use rand::SeedableRng;
@@ -332,6 +517,7 @@ impl Medium {
             psdu_len,
             rate,
             tune,
+            rx_at,
             cutoff,
             interferer_distance,
         )
@@ -350,6 +536,7 @@ impl Medium {
         psdu_len: usize,
         rate: BitRate,
         tune: Tune,
+        rx_at: (f64, f64),
         interference_cutoff_m: f64,
         interferer_distance: impl Fn(NodeId) -> f64,
     ) -> RxOutcome {
@@ -366,25 +553,21 @@ impl Medium {
         // Collision check: any other transmission overlapping this frame's
         // airtime whose power at the receiver is within the capture
         // threshold corrupts the frame.
-        let mut collided = false;
-        for t in &self.active {
+        let collided = self.any_active(tune, rx_at, interference_cutoff_m, |t| {
             if t.from == from || t.tune != tune {
-                continue;
+                return false;
             }
             let overlaps = t.start_us < end_us && start_us < t.end_us;
             if !overlaps {
-                continue;
+                return false;
             }
             let d_i = interferer_distance(t.from);
             if d_i > interference_cutoff_m {
-                continue;
+                return false;
             }
             let interferer_power = self.rx_power_dbm(t.tx_power_dbm, d_i);
-            if faded - interferer_power < self.config.capture_threshold_db {
-                collided = true;
-                break;
-            }
-        }
+            faded - interferer_power < self.config.capture_threshold_db
+        });
 
         let fer = link::fer(psdu_len, rate, snr_db);
         // Lazy FER draw: only a frame that passed detection and
@@ -471,13 +654,16 @@ mod tests {
     #[test]
     fn overlapping_comparable_power_collides() {
         let mut m = medium();
-        m.begin_transmission(Transmission {
-            from: NodeId(7),
-            start_us: 100,
-            end_us: 500,
-            tx_power_dbm: 20.0,
-            tune: CH6,
-        });
+        m.begin_transmission(
+            Transmission {
+                from: NodeId(7),
+                start_us: 100,
+                end_us: 500,
+                tx_power_dbm: 20.0,
+                tune: CH6,
+            },
+            None,
+        );
         // Victim frame overlaps [100,500]; interferer at the same distance.
         let out = m.evaluate_rx(
             NodeId(0),
@@ -498,13 +684,16 @@ mod tests {
     #[test]
     fn capture_survives_weak_interferer() {
         let mut m = medium();
-        m.begin_transmission(Transmission {
-            from: NodeId(7),
-            start_us: 100,
-            end_us: 500,
-            tx_power_dbm: 20.0,
-            tune: CH6,
-        });
+        m.begin_transmission(
+            Transmission {
+                from: NodeId(7),
+                start_us: 100,
+                end_us: 500,
+                tx_power_dbm: 20.0,
+                tune: CH6,
+            },
+            None,
+        );
         // Interferer is 100 m away (≫ capture threshold below our 2 m frame).
         let out = m.evaluate_rx(
             NodeId(0),
@@ -524,13 +713,16 @@ mod tests {
     #[test]
     fn cross_channel_interferer_harmless() {
         let mut m = medium();
-        m.begin_transmission(Transmission {
-            from: NodeId(7),
-            start_us: 100,
-            end_us: 500,
-            tx_power_dbm: 20.0,
-            tune: CH36, // different band entirely
-        });
+        m.begin_transmission(
+            Transmission {
+                from: NodeId(7),
+                start_us: 100,
+                end_us: 500,
+                tx_power_dbm: 20.0,
+                tune: CH36, // different band entirely
+            },
+            None,
+        );
         let out = m.evaluate_rx(
             NodeId(0),
             NodeId(1),
@@ -549,13 +741,16 @@ mod tests {
     #[test]
     fn carrier_sense_is_per_channel() {
         let mut m = medium();
-        m.begin_transmission(Transmission {
-            from: NodeId(3),
-            start_us: 0,
-            end_us: 1_000,
-            tx_power_dbm: 20.0,
-            tune: CH6,
-        });
+        m.begin_transmission(
+            Transmission {
+                from: NodeId(3),
+                start_us: 0,
+                end_us: 1_000,
+                tx_power_dbm: 20.0,
+                tune: CH6,
+            },
+            None,
+        );
         assert!(m.channel_busy(500, NodeId(0), CH6, |_| 5.0));
         assert!(!m.channel_busy(500, NodeId(0), CH36, |_| 5.0));
     }
@@ -563,13 +758,16 @@ mod tests {
     #[test]
     fn non_overlapping_does_not_collide() {
         let mut m = medium();
-        m.begin_transmission(Transmission {
-            from: NodeId(7),
-            start_us: 0,
-            end_us: 100,
-            tx_power_dbm: 20.0,
-            tune: CH6,
-        });
+        m.begin_transmission(
+            Transmission {
+                from: NodeId(7),
+                start_us: 0,
+                end_us: 100,
+                tx_power_dbm: 20.0,
+                tune: CH6,
+            },
+            None,
+        );
         let out = m.evaluate_rx(
             NodeId(0),
             NodeId(1),
@@ -588,13 +786,16 @@ mod tests {
     #[test]
     fn channel_busy_detection() {
         let mut m = medium();
-        m.begin_transmission(Transmission {
-            from: NodeId(3),
-            start_us: 0,
-            end_us: 1_000,
-            tx_power_dbm: 20.0,
-            tune: CH6,
-        });
+        m.begin_transmission(
+            Transmission {
+                from: NodeId(3),
+                start_us: 0,
+                end_us: 1_000,
+                tx_power_dbm: 20.0,
+                tune: CH6,
+            },
+            None,
+        );
         assert!(m.channel_busy(500, NodeId(0), CH6, |_| 5.0));
         assert!(!m.channel_busy(500, NodeId(0), CH6, |_| 10_000.0));
         // After the transmission ends the channel is free.
@@ -609,36 +810,42 @@ mod tests {
     #[test]
     fn ranged_carrier_sense_matches_exact_scan() {
         let mut m = medium();
-        m.begin_transmission(Transmission {
-            from: NodeId(3),
-            start_us: 0,
-            end_us: 1_000,
-            tx_power_dbm: 20.0,
-            tune: CH6,
-        });
+        m.begin_transmission(
+            Transmission {
+                from: NodeId(3),
+                start_us: 0,
+                end_us: 1_000,
+                tx_power_dbm: 20.0,
+                tune: CH6,
+            },
+            None,
+        );
         for d in [0.05, 0.5, 5.0, 50.0, 114.0, 116.0, 150.0, 1_000.0] {
             assert_eq!(
                 m.channel_busy(500, NodeId(0), CH6, |_| d),
-                m.channel_busy_ranged(500, NodeId(0), CH6, |_| d * d),
+                m.channel_busy_ranged(500, NodeId(0), CH6, (0.0, 0.0), |_| d * d),
                 "disagree at {d} m"
             );
         }
         // Same tune/time/exclusion filters as the exact scan.
-        assert!(!m.channel_busy_ranged(500, NodeId(3), CH6, |_| 25.0));
-        assert!(!m.channel_busy_ranged(500, NodeId(0), CH36, |_| 25.0));
-        assert!(!m.channel_busy_ranged(1_500, NodeId(0), CH6, |_| 25.0));
+        assert!(!m.channel_busy_ranged(500, NodeId(3), CH6, (0.0, 0.0), |_| 25.0));
+        assert!(!m.channel_busy_ranged(500, NodeId(0), CH36, (0.0, 0.0), |_| 25.0));
+        assert!(!m.channel_busy_ranged(1_500, NodeId(0), CH6, (0.0, 0.0), |_| 25.0));
     }
 
     #[test]
     fn prune_keeps_recent() {
         let mut m = medium();
-        m.begin_transmission(Transmission {
-            from: NodeId(1),
-            start_us: 0,
-            end_us: 100,
-            tx_power_dbm: 20.0,
-            tune: CH6,
-        });
+        m.begin_transmission(
+            Transmission {
+                from: NodeId(1),
+                start_us: 0,
+                end_us: 100,
+                tx_power_dbm: 20.0,
+                tune: CH6,
+            },
+            None,
+        );
         m.prune(500);
         assert_eq!(m.active.len(), 1, "grace window keeps it");
         m.prune(10_000);
@@ -713,6 +920,7 @@ mod tests {
                 1500,
                 BitRate::Mbps54,
                 CH6,
+                (0.0, 0.0),
                 |_| f64::INFINITY,
             )
         };

@@ -1,7 +1,7 @@
 //! The simulator: event loop, transmissions, receptions, retries.
 
 use crate::arena::{CellGrid, NodeArena};
-use crate::event::{Event, EventQueue, SchedulerKind};
+use crate::event::{Event, EventQueue, Fanout, FanoutSlab, SchedulerKind};
 use crate::faults::{FaultPlan, StallSchedule};
 use crate::medium::{Medium, MediumConfig, RxOutcome, Transmission, Tune};
 use crate::node::{AckWait, Node, NodeId, QueuedFrame};
@@ -82,8 +82,9 @@ pub struct Simulator {
     hot: NodeArena,
     /// The spatial cell grid, present only in `CellGrid` mode.
     grid: Option<CellGrid>,
-    /// Reusable receiver-candidate buffer for the grid fan-out.
-    scratch: Vec<NodeId>,
+    /// Receivers and frames of the transmissions whose `TxEnd` is
+    /// pending.
+    fanouts: FanoutSlab,
     current_tx: Vec<Option<CurrentTx>>,
     medium: Medium,
     rng: ChaCha8Rng,
@@ -115,9 +116,16 @@ impl Simulator {
             hot: NodeArena::new(),
             grid: (config.propagation == PropagationMode::CellGrid)
                 .then(|| CellGrid::new(config.medium.max_range_m)),
-            scratch: Vec::new(),
+            fanouts: FanoutSlab::default(),
             current_tx: Vec::new(),
-            medium: Medium::new(config.medium, seed),
+            medium: {
+                let medium = Medium::new(config.medium, seed);
+                if config.propagation == PropagationMode::CellGrid {
+                    medium.with_cell_index()
+                } else {
+                    medium
+                }
+            },
             rng: ChaCha8Rng::seed_from_u64(seed ^ 0x5349_4d55_4c41_544f), // "SIMULATO"
             global_capture: Capture::new(),
             next_token: 0,
@@ -240,9 +248,10 @@ impl Simulator {
 
     /// Number of pending queue entries — a regression guard against
     /// event-chain leaks (a healthy simulation keeps this small and
-    /// bounded regardless of how long it has run). One entry may be a
-    /// poll run carrying several duplicate poll chains of a node
-    /// ([`Event::Poll`]'s `copies`); it counts once.
+    /// bounded regardless of how long it has run). One entry may stand
+    /// for several events — a poll run carrying duplicate poll chains
+    /// of a node ([`Event::Poll`]'s `copies`), or a transmission's end
+    /// carrying its arrivals ([`Event::TxEnd`]) — and counts once.
     pub fn queue_len(&self) -> usize {
         self.queue.len()
     }
@@ -289,7 +298,9 @@ impl Simulator {
         self.hot.set_velocity(id, velocity);
         if let Some(grid) = &mut self.grid {
             let moving = velocity != (0.0, 0.0);
-            grid.set_moving(id, self.hot.tune(id), self.hot.base_position(id), moving);
+            let base = self.hot.base_position(id);
+            grid.set_moving(id, self.hot.tune(id), base, moving);
+            self.medium.refile(id, (!moving).then_some(base));
         }
     }
 
@@ -380,8 +391,16 @@ impl Simulator {
     ///
     /// Poll runs of one node that directly follow each other at one
     /// instant are handled as a single run of their summed copies (see
-    /// [`do_poll`](Self::do_poll)); each copy still counts as one
-    /// dispatched event.
+    /// `do_poll`); each copy still counts as one dispatched event.
+    ///
+    /// A transmission's end is one queue entry for 1 + k events: the
+    /// `TxEnd` at the transmitter, then the frame's arrival at each of
+    /// its k receivers in `NodeId` order. They hold consecutive
+    /// sequence numbers at one instant, so nothing else can run between
+    /// them, and whatever they schedule queues behind the last. Each
+    /// counts as one dispatched event, the prune check runs after each
+    /// as between any two events, and the profiler attributes the k
+    /// arrivals to `arrival` at no virtual time.
     pub fn run_until(&mut self, t_us: u64) {
         let mut dispatched = 0u64;
         while let Some(at) = self.queue.peek_time() {
@@ -390,11 +409,18 @@ impl Simulator {
             }
             let mut ev = self.queue.pop().expect("peeked");
             let mut events = 1;
-            if let Event::Poll { node, copies } = &mut ev.event {
-                while let Some(more) = self.queue.pop_poll_run(ev.at_us, *node) {
-                    *copies += more;
+            let mut fanout = None;
+            match &mut ev.event {
+                Event::Poll { node, copies } => {
+                    while let Some(more) = self.queue.pop_poll_run(ev.at_us, *node) {
+                        *copies += more;
+                    }
+                    events = *copies;
                 }
-                events = *copies;
+                Event::TxEnd {
+                    node, fanout: slot, ..
+                } => fanout = Some((*node, *slot)),
+                _ => {}
             }
             let virt_us = ev.at_us.saturating_sub(self.now_us);
             let kind = ev.event.kind_name();
@@ -404,30 +430,57 @@ impl Simulator {
             let wall_ns = t0.elapsed().as_nanos() as u64;
             self.obs.prof(kind, events, virt_us, wall_ns);
             dispatched += events;
-            if self.now_us.saturating_sub(self.last_prune_us) > 1_000_000 {
-                self.medium.prune(self.now_us);
-                self.last_prune_us = self.now_us;
-            } else if self.config.propagation.keyed_draws()
-                && self.medium.active_len() > 64
-                && self.now_us.saturating_sub(self.last_prune_us) > 1_000
-            {
-                // City scale: the collision and carrier-sense scans are
-                // linear in the active list, so the keyed modes prune
-                // aggressively (the grace window in `Medium::prune`
-                // keeps any transmission an arrival could still need).
-                // The legacy mode keeps its exact 1 s cadence — prune
-                // timing is observable through long-airtime overlaps,
-                // and pinned results depend on it. Purely a function of
-                // simulated time and the active list, so determinism is
-                // untouched.
-                self.medium.prune(self.now_us);
-                self.last_prune_us = self.now_us;
+            self.prune_if_due();
+            if let Some((from, slot)) = fanout {
+                let fan = self.fanouts.take(slot);
+                let t0 = std::time::Instant::now();
+                for &rx in &fan.receivers {
+                    self.do_arrival(
+                        rx,
+                        from,
+                        &fan.frame,
+                        fan.rate,
+                        fan.start_us,
+                        fan.tune,
+                        fan.trace,
+                    );
+                    self.prune_if_due();
+                }
+                let arrivals = fan.receivers.len() as u64;
+                if arrivals > 0 {
+                    let wall_ns = t0.elapsed().as_nanos() as u64;
+                    self.obs.prof("arrival", arrivals, 0, wall_ns);
+                }
+                dispatched += arrivals;
+                self.fanouts.recycle(fan);
             }
         }
         self.now_us = self.now_us.max(t_us);
         self.events_dispatched += dispatched;
         if dispatched > 0 {
             self.obs.add(names::SIM_EVENTS_DISPATCHED, dispatched);
+        }
+    }
+
+    /// Prunes the medium's ended transmissions when due: every 1 s of
+    /// simulated time, and in the keyed modes also every 1 ms while
+    /// more than 64 are held, which keeps the city's collision and
+    /// carrier-sense scans short. Prune timing is observable: the 1 ms
+    /// grace window of `Medium::prune` does not cover a longer frame,
+    /// whose arrival stops seeing an interferer that ended early in its
+    /// airtime once prune has run. So the legacy mode keeps its exact
+    /// 1 s cadence, which pinned results depend on. The rule reads only
+    /// simulated time and the active count, so determinism is
+    /// untouched.
+    fn prune_if_due(&mut self) {
+        let since = self.now_us.saturating_sub(self.last_prune_us);
+        if since > 1_000_000
+            || (self.config.propagation.keyed_draws()
+                && self.medium.active_len() > 64
+                && since > 1_000)
+        {
+            self.medium.prune(self.now_us);
+            self.last_prune_us = self.now_us;
         }
     }
 
@@ -580,16 +633,7 @@ impl Simulator {
             }
             Event::StallStart { node } => self.do_stall_start(node),
             Event::StallEnd { node, reboot } => self.do_stall_end(node, reboot),
-            Event::TxEnd { node } => self.do_tx_end(node),
-            Event::Arrival {
-                node,
-                from,
-                frame,
-                rate,
-                start_us,
-                tune,
-                trace,
-            } => self.do_arrival(node, from, frame, rate, start_us, tune, trace),
+            Event::TxEnd { node, .. } => self.do_tx_end(node),
             Event::AckTimeout { node, token } => self.do_ack_timeout(node, token),
         }
     }
@@ -756,7 +800,7 @@ impl Simulator {
             let hot = &self.hot;
             if self.config.propagation.keyed_draws() {
                 self.medium
-                    .channel_busy_ranged(now, id, self.hot.tune(id), |other| {
+                    .channel_busy_ranged(now, id, self.hot.tune(id), my_pos, |other| {
                         hot.distance_sq_to_point(my_pos, other, now)
                     })
             } else {
@@ -831,66 +875,66 @@ impl Simulator {
             start_us: self.now_us,
         });
         let tune = self.hot.tune(id);
-        self.medium.begin_transmission(Transmission {
-            from: id,
-            start_us: self.now_us,
-            end_us: end,
-            tx_power_dbm: tx_power,
-            tune,
-        });
-        self.queue.push(end, Event::TxEnd { node: id });
+        let start_us = self.now_us;
+        let site = (self.hot.velocity(id) == (0.0, 0.0)).then(|| self.hot.base_position(id));
+        self.medium.begin_transmission(
+            Transmission {
+                from: id,
+                start_us,
+                end_us: end,
+                tx_power_dbm: tx_power,
+                tune,
+            },
+            site,
+        );
         // Receiver fan-out. All modes enumerate effectful receivers in
         // ascending NodeId order; the spatial modes drop receivers past
         // the hard `max_range_m` cutoff (evaluated at arrival time,
         // like the oracle), which in keyed-draw mode cannot perturb
         // anyone else's randomness.
-        let start_us = self.now_us;
-        let push_arrival = |queue: &mut EventQueue, rx: NodeId| {
-            queue.push(
-                end,
-                Event::Arrival {
-                    node: rx,
-                    from: id,
-                    frame: frame.clone(),
-                    rate,
-                    start_us,
-                    tune,
-                    trace,
-                },
-            );
-        };
+        let mut receivers = self.fanouts.receiver_list();
         match self.config.propagation {
             PropagationMode::AllPairs => {
-                for i in 0..self.nodes.len() {
-                    if i != id.0 {
-                        push_arrival(&mut self.queue, NodeId(i));
-                    }
-                }
+                receivers.extend((0..self.nodes.len()).filter(|&i| i != id.0).map(NodeId));
             }
             PropagationMode::OracleAllPairs => {
                 let max_range = self.config.medium.max_range_m;
                 let tx_pos = self.hot.position_at(id, end);
-                for i in 0..self.nodes.len() {
-                    if i != id.0 && self.hot.distance_to_point(tx_pos, NodeId(i), end) <= max_range
-                    {
-                        push_arrival(&mut self.queue, NodeId(i));
-                    }
-                }
+                receivers.extend((0..self.nodes.len()).map(NodeId).filter(|&rx| {
+                    rx != id && self.hot.distance_to_point(tx_pos, rx, end) <= max_range
+                }));
             }
             PropagationMode::CellGrid => {
                 let max_range = self.config.medium.max_range_m;
                 let tx_pos = self.hot.position_at(id, end);
-                let mut cands = std::mem::take(&mut self.scratch);
-                self.grid
-                    .as_ref()
-                    .expect("grid mode")
-                    .candidates(tx_pos, tune, id, max_range, end, &self.hot, &mut cands);
-                for &rx in &cands {
-                    push_arrival(&mut self.queue, rx);
-                }
-                self.scratch = cands;
+                self.grid.as_ref().expect("grid mode").candidates(
+                    tx_pos,
+                    tune,
+                    id,
+                    max_range,
+                    end,
+                    &self.hot,
+                    &mut receivers,
+                );
             }
         }
+        let arrivals = receivers.len() as u64;
+        let fanout = self.fanouts.insert(Fanout {
+            frame,
+            rate,
+            start_us,
+            tune,
+            trace,
+            receivers,
+        });
+        self.queue.push(
+            end,
+            Event::TxEnd {
+                node: id,
+                fanout,
+                arrivals,
+            },
+        );
     }
 
     fn do_tx_end(&mut self, id: NodeId) {
@@ -1033,7 +1077,7 @@ impl Simulator {
         let dist = |other: NodeId| hot.distance_to_point(my_pos, other, now);
         if self.config.propagation.keyed_draws() {
             self.medium.evaluate_rx_keyed(
-                from, id, start_us, now, tx_power, d, psdu_len, rate, tune, dist,
+                from, id, start_us, now, tx_power, d, psdu_len, rate, tune, my_pos, dist,
             )
         } else {
             self.medium.evaluate_rx(
@@ -1047,7 +1091,7 @@ impl Simulator {
         &mut self,
         id: NodeId,
         from: NodeId,
-        frame: Frame,
+        frame: &Frame,
         rate: BitRate,
         start_us: u64,
         tune: Tune,
@@ -1078,19 +1122,17 @@ impl Simulator {
             return;
         }
         // Half-duplex: a radio that was transmitting during any part of
-        // the frame cannot have received it.
+        // the frame cannot have received it (some transmission of ours
+        // ended after the incoming frame began).
         if self.hot.tx_busy_until[id.0] > start_us && id != from {
-            let own_tx_overlaps = self.hot.tx_busy_until[id.0] > start_us;
-            if own_tx_overlaps && self.current_or_recent_tx_overlap(id, start_us) {
-                if for_me {
-                    self.obs.incr(names::FRAME_FATE_COLLIDED);
-                    if let Some(tid) = ftrace {
-                        self.obs
-                            .trace_hop(tid, now, id.0 as u64, hop::FATE_COLLIDED, 1);
-                    }
+            if for_me {
+                self.obs.incr(names::FRAME_FATE_COLLIDED);
+                if let Some(tid) = ftrace {
+                    self.obs
+                        .trace_hop(tid, now, id.0 as u64, hop::FATE_COLLIDED, 1);
                 }
-                return;
             }
+            return;
         }
         // A dozing radio hears nothing — with one exception: the ACK for
         // the frame it just transmitted. Real radios finish the exchange
@@ -1099,7 +1141,7 @@ impl Simulator {
         if !self.nodes[id.0].station.is_awake() {
             let my_mac = self.nodes[id.0].station.mac();
             let is_my_ack = matches!(
-                &frame,
+                frame,
                 Frame::Ctrl(ControlFrame::Ack { ra }) if *ra == my_mac
             );
             if is_my_ack && self.hot.ack_wait[id.0].is_some() {
@@ -1183,7 +1225,7 @@ impl Simulator {
             );
             self.nodes[id.0]
                 .capture
-                .record_with_radiotap(now, rt, &frame);
+                .record_with_radiotap(now, rt, frame);
         }
 
         // Virtual carrier sense: frames addressed to OTHERS set this
@@ -1192,7 +1234,7 @@ impl Simulator {
         // every bystander defer (PS-Poll's Duration field is an AID and
         // is exempt).
         if outcome.fcs_ok && !for_me {
-            let nav_us = match &frame {
+            let nav_us = match frame {
                 Frame::Ctrl(ControlFrame::Rts { duration_us, .. })
                 | Frame::Ctrl(ControlFrame::Cts { duration_us, .. }) => *duration_us as u64,
                 Frame::Ctrl(_) => 0,
@@ -1210,10 +1252,10 @@ impl Simulator {
         if outcome.fcs_ok && for_me {
             let my_mac = self.nodes[id.0].station.mac();
             let is_response_to_me = matches!(
-                &frame,
+                frame,
                 Frame::Ctrl(ControlFrame::Ack { ra }) if *ra == my_mac
             ) || matches!(
-                &frame,
+                frame,
                 Frame::Ctrl(ControlFrame::Cts { ra, .. }) if *ra == my_mac
             );
             if is_response_to_me {
@@ -1228,7 +1270,7 @@ impl Simulator {
                         wait.satisfied = true;
                         completed_at = Some(wait.started_us);
                         let node = &mut self.nodes[id.0];
-                        match &frame {
+                        match frame {
                             Frame::Ctrl(ControlFrame::Ack { .. }) => node.acks_received += 1,
                             Frame::Ctrl(ControlFrame::Cts { .. }) => node.cts_received += 1,
                             _ => {}
@@ -1244,7 +1286,7 @@ impl Simulator {
                 } else {
                     // Fire-and-forget senders (retries off — the usual
                     // injection mode) still count their responses.
-                    match &frame {
+                    match frame {
                         Frame::Ctrl(ControlFrame::Ack { .. }) => {
                             self.nodes[id.0].acks_received += 1;
                             self.obs.incr("sim.acks_received");
@@ -1262,7 +1304,7 @@ impl Simulator {
                     }
                 }
                 if let Some(started_us) = completed_at {
-                    let counter = match &frame {
+                    let counter = match frame {
                         Frame::Ctrl(ControlFrame::Cts { .. }) => "sim.cts_received",
                         _ => "sim.acks_received",
                     };
@@ -1278,16 +1320,9 @@ impl Simulator {
         // the frame that provoked them.
         let actions = self.nodes[id.0]
             .station
-            .on_receive(now, &frame, outcome.fcs_ok, rate);
+            .on_receive(now, frame, outcome.fcs_ok, rate);
         self.apply_actions(id, actions, ftrace);
         self.reschedule_poll(id, 1);
-    }
-
-    /// True when the node's own transmission overlapped `[start_us, now]`.
-    fn current_or_recent_tx_overlap(&self, id: NodeId, start_us: u64) -> bool {
-        // tx_busy_until > start_us means some transmission of ours ended
-        // after the incoming frame began.
-        self.hot.tx_busy_until[id.0] > start_us
     }
 
     fn apply_actions(&mut self, id: NodeId, actions: Vec<MacAction>, trace: Option<u64>) {
